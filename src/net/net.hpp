@@ -11,10 +11,6 @@
 // response), nothing more. The same listener also carries the daemon's
 // newline-delimited admit/remove/stats protocol: the first line of a
 // connection decides which framing the connection speaks (see server.hpp).
-//
-// This is product transport, not observability: it compiles identically
-// under -DKAIROS_NO_OBS=ON (the *content* served through it degrades, the
-// socket does not).
 #pragma once
 
 #include <string>

@@ -1,13 +1,12 @@
 // The build-provenance stamp embedded in every machine-readable output
 // (`kairos_cli --version`, `--front-csv` headers, Chrome trace JSON,
-// `BENCH_perf.json`), so a perf number or a dumped front can always be tied
+// benchmark results), so a perf number or a dumped front can always be tied
 // back to the exact commit, compiler and flags that produced it.
 //
 // The values are injected by CMake as compile definitions on this
 // translation unit only (so a new git SHA re-compiles one file, not the
 // library); a build outside CMake degrades to "unknown" fields instead of
-// failing. Deliberately *not* gated by KAIROS_NO_OBS: provenance is
-// reproducibility metadata, not hot-path instrumentation.
+// failing.
 #pragma once
 
 #include <string>

@@ -1,12 +1,9 @@
 #include "obs/event_log.hpp"
 
-#include "obs/json.hpp"
-
-#ifndef KAIROS_NO_OBS
 #include <algorithm>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
-#endif
 
 namespace kairos::obs {
 
@@ -33,8 +30,6 @@ void write_log_event_json(const LogEvent& event, std::ostream& out) {
   for (const auto& [key, value] : event.fields) json.kv(key, value);
   json.end_object();
 }
-
-#ifndef KAIROS_NO_OBS
 
 EventLog::EventLog() : epoch_(std::chrono::steady_clock::now()) {}
 
@@ -78,11 +73,7 @@ void EventLog::log(LogLevel level, const std::string& component,
     *sink.out << "\n";
   }
 
-  while (ring_.size() >= capacity_ && !ring_.empty()) {
-    ring_.pop_front();
-    ++evicted_;
-  }
-  if (capacity_ > 0) ring_.push_back(std::move(event));
+  ring_.push(std::move(event));
 }
 
 void EventLog::set_min_level(LogLevel level) {
@@ -97,11 +88,7 @@ LogLevel EventLog::min_level() const {
 
 void EventLog::set_capacity(std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  while (ring_.size() > capacity_) {
-    ring_.pop_front();
-    ++evicted_;
-  }
+  ring_.set_capacity(capacity);
 }
 
 void EventLog::add_sink(std::shared_ptr<std::ostream> out,
@@ -123,12 +110,12 @@ void EventLog::clear_sinks() {
 
 std::vector<LogEvent> EventLog::recent() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<LogEvent>(ring_.begin(), ring_.end());
+  return ring_.snapshot();
 }
 
 std::int64_t EventLog::evicted() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return evicted_;
+  return ring_.evicted();
 }
 
 std::int64_t EventLog::sink_dropped() const {
@@ -141,7 +128,6 @@ std::int64_t EventLog::sink_dropped() const {
 void EventLog::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
-  evicted_ = 0;
   for (Sink& sink : sinks_) sink.dropped = 0;
 }
 
@@ -151,8 +137,8 @@ void EventLog::write_json(std::ostream& out) const {
   std::int64_t dropped = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    events.assign(ring_.begin(), ring_.end());
-    evicted = evicted_;
+    events = ring_.snapshot();
+    evicted = ring_.evicted();
     for (const Sink& sink : sinks_) dropped += sink.dropped;
   }
   JsonWriter json(out);
@@ -176,7 +162,5 @@ void EventLog::write_json(std::ostream& out) const {
   json.kv("sink_dropped", dropped);
   json.end_object();
 }
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

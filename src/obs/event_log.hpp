@@ -14,23 +14,18 @@
 //     turn the log file into the bottleneck: beyond `max_per_sec` events in
 //     a second the sink drops (counted, and reported as a
 //     "obs.log.dropped" style field in recent()/stats — never silently).
-//
-// Under -DKAIROS_NO_OBS=ON everything here is an inert inline no-op, like
-// the rest of src/obs/.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#ifndef KAIROS_NO_OBS
-#include <chrono>
-#include <deque>
-#include <mutex>
-#endif
+#include "obs/ring.hpp"
 
 namespace kairos::obs {
 
@@ -50,8 +45,6 @@ struct LogEvent {
 
 /// Serialises one event as a single JSONL line (no trailing newline).
 void write_log_event_json(const LogEvent& event, std::ostream& out);
-
-#ifndef KAIROS_NO_OBS
 
 class EventLog {
  public:
@@ -109,42 +102,8 @@ class EventLog {
   const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mutex_;
   LogLevel min_level_ = LogLevel::kDebug;
-  std::size_t capacity_ = 1024;
-  std::deque<LogEvent> ring_;
-  std::int64_t evicted_ = 0;
+  Ring<LogEvent> ring_{1024};
   std::vector<Sink> sinks_;
 };
-
-#else  // KAIROS_NO_OBS — inert stand-ins.
-
-class EventLog {
- public:
-  EventLog() = default;
-  EventLog(const EventLog&) = delete;
-  EventLog& operator=(const EventLog&) = delete;
-
-  static EventLog& global() {
-    static EventLog instance;
-    return instance;
-  }
-
-  void log(LogLevel, const std::string&, const std::string&,
-           std::vector<std::pair<std::string, std::string>> = {},
-           std::uint64_t = 0) {}
-  void set_min_level(LogLevel) {}
-  LogLevel min_level() const { return LogLevel::kDebug; }
-  void set_capacity(std::size_t) {}
-  void add_sink(std::shared_ptr<std::ostream>, double = 500.0) {}
-  void clear_sinks() {}
-  std::vector<LogEvent> recent() const { return {}; }
-  std::int64_t evicted() const { return 0; }
-  std::int64_t sink_dropped() const { return 0; }
-  void reset() {}
-  void write_json(std::ostream& out) const {
-    out << "{\"events\":[],\"evicted\":0,\"sink_dropped\":0}";
-  }
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

@@ -1,5 +1,3 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/instrumented_mapper.hpp"
 
 #include <cassert>
@@ -39,5 +37,3 @@ core::MappingResult InstrumentedMapper::map(const graph::Application& app,
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

@@ -1,12 +1,12 @@
 // Minimal JSON emission and validation for the observability outputs
-// (metrics exposition, Chrome trace-event files, BENCH_perf.json).
+// (metrics exposition, Chrome trace-event files, benchmark results).
 //
 // The library is zero-dependency by design, so this is a deliberately small
 // streaming writer — enough structure for flat-ish machine-readable records,
 // not a general serialisation framework. The companion json_valid() is the
 // checker the tests and bench harnesses use to guarantee every emitted
-// document actually parses (a malformed BENCH_perf.json would silently break
-// the perf-trajectory tooling downstream).
+// document actually parses (a malformed result would silently break the
+// tooling that reads it downstream).
 #pragma once
 
 #include <cstdint>

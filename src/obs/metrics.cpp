@@ -1,7 +1,6 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -17,15 +16,24 @@ void Histogram::record(double value) const {
 HistogramStats Histogram::stats() const {
   HistogramStats out;
   if (!cell_) return out;
-  const std::lock_guard<std::mutex> lock(cell_->mutex);
-  const util::WeightedStats& s = cell_->stats;
-  out.count = static_cast<std::int64_t>(s.count());
-  out.mean = s.mean();
-  out.min = s.min();
-  out.max = s.max();
-  out.p50 = s.percentile(50.0);
-  out.p95 = s.percentile(95.0);
-  out.p99 = s.percentile(99.0);
+  util::WeightedStats::Sketch sorted;
+  double weight = 0.0;
+  {
+    const std::lock_guard<std::mutex> lock(cell_->mutex);
+    const util::WeightedStats& s = cell_->stats;
+    out.count = static_cast<std::int64_t>(s.count());
+    out.mean = s.mean();
+    out.min = s.min();
+    out.max = s.max();
+    sorted = s.sketch();
+    weight = s.weight();
+  }
+  // One sort for all three quantiles, outside the mutex every record() on
+  // the admission path waits on.
+  std::sort(sorted.begin(), sorted.end());
+  out.p50 = util::WeightedStats::sorted_percentile(sorted, weight, 50.0);
+  out.p95 = util::WeightedStats::sorted_percentile(sorted, weight, 95.0);
+  out.p99 = util::WeightedStats::sorted_percentile(sorted, weight, 99.0);
   return out;
 }
 
@@ -131,5 +139,3 @@ void Registry::write_json(std::ostream& out) const {
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

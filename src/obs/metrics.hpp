@@ -14,11 +14,8 @@
 //    paid when the handle is obtained, which call sites do once;
 //  * thread-safe by construction — counters sum exactly across concurrent
 //    writers (tested), histograms serialise their sketch behind a
-//    per-histogram mutex;
-//  * removable — compiling with KAIROS_NO_OBS replaces everything here with
-//    inert inline stand-ins (handles that do nothing, a registry whose
-//    snapshot is empty), so instrumented call sites compile unchanged while
-//    the hot paths lose every recording side effect.
+//    per-histogram mutex, and stats() sorts its sketch copy outside that
+//    mutex so a scrape never stalls the recorders.
 //
 // Registry cells are never erased: a handle, once obtained, stays valid for
 // the program's lifetime. Registry::reset() zeroes values in place (bench /
@@ -41,18 +38,15 @@
 // names.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 
 #include "util/stats.hpp"
-
-#ifndef KAIROS_NO_OBS
-#include <atomic>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace kairos::obs {
 
@@ -73,8 +67,6 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramStats> histograms;
 };
-
-#ifndef KAIROS_NO_OBS
 
 namespace detail {
 struct HistogramCell {
@@ -190,50 +182,5 @@ class Registry {
   std::map<std::string, std::unique_ptr<std::atomic<double>>> gauges_;
   std::map<std::string, std::unique_ptr<detail::HistogramCell>> histograms_;
 };
-
-#else  // KAIROS_NO_OBS — inert inline stand-ins, no storage, no locking.
-
-class Counter {
- public:
-  void add(std::int64_t = 1) const {}
-  std::int64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) const {}
-  void add(double) const {}
-  double value() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  void record(double) const {}
-  HistogramStats stats() const { return {}; }
-};
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  static Registry& global() {
-    static Registry instance;
-    return instance;
-  }
-
-  Counter counter(const std::string&) { return {}; }
-  Gauge gauge(const std::string&) { return {}; }
-  Histogram histogram(const std::string&) { return {}; }
-  void reset() {}
-  MetricsSnapshot snapshot() const { return {}; }
-  std::string to_text() const { return {}; }
-  void write_json(std::ostream& out) const {
-    out << "{\"counters\":{},\"gauges\":{},\"histograms\":{}}";
-  }
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

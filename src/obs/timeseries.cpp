@@ -1,5 +1,3 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
@@ -23,7 +21,8 @@ TimeSeriesSampler::TimeSeriesSampler(Registry& registry,
                                      TimeSeriesConfig config)
     : registry_(registry),
       config_(config),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      ring_(config.capacity) {
   config_.interval_ms = std::max(1, config_.interval_ms);
 }
 
@@ -136,10 +135,7 @@ void TimeSeriesSampler::sample_locked() {
       }
     }
 
-    while (ring_.size() >= config_.capacity && !ring_.empty()) {
-      ring_.pop_front();
-    }
-    if (config_.capacity > 0) ring_.push_back(std::move(point));
+    ring_.push(std::move(point));
   }
 
   last_ = std::move(state);
@@ -154,7 +150,12 @@ std::vector<std::string> TimeSeriesSampler::shard_labels() const {
 
 std::vector<TimeSeriesPoint> TimeSeriesSampler::series() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<TimeSeriesPoint>(ring_.begin(), ring_.end());
+  return ring_.snapshot();
+}
+
+std::int64_t TimeSeriesSampler::evicted() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return ring_.evicted();
 }
 
 TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
@@ -166,8 +167,9 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
   // uneven sampling intervals weight correctly.
   double span_ms = 0.0;
   double admissions = 0.0, rejections = 0.0, conflicts = 0.0;
-  for (std::size_t i = ring_.size() - n; i < ring_.size(); ++i) {
-    const TimeSeriesPoint& p = ring_[i];
+  for (auto it = ring_.end() - static_cast<std::ptrdiff_t>(n);
+       it != ring_.end(); ++it) {
+    const TimeSeriesPoint& p = *it;
     span_ms += p.dt_ms;
     admissions += p.admissions_per_sec * p.dt_ms / 1000.0;
     rejections += p.rejections_per_sec * p.dt_ms / 1000.0;
@@ -187,14 +189,17 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
 void TimeSeriesSampler::write_json(std::ostream& out) const {
   std::vector<TimeSeriesPoint> points;
   std::vector<std::string> labels;
+  std::int64_t evicted = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    points.assign(ring_.begin(), ring_.end());
+    points = ring_.snapshot();
     labels = shard_labels_;
+    evicted = ring_.evicted();
   }
   JsonWriter json(out);
   json.begin_object();
   json.kv("interval_ms", static_cast<std::int64_t>(config_.interval_ms));
+  json.kv("evicted", evicted);
   json.key("points");
   json.begin_array();
   for (const TimeSeriesPoint& p : points) {
@@ -222,5 +227,3 @@ void TimeSeriesSampler::write_json(std::ostream& out) const {
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

@@ -18,27 +18,20 @@
 //   service.commits.shard.<k|other>     -> per-shard share of the window's
 //                                          commits (the co-placement /
 //                                          contention picture)
-//
-// Under -DKAIROS_NO_OBS=ON the sampler is a no-op: start() does nothing,
-// series() is empty, window() reports zeros — and /healthz degrades to
-// "ok (no data)".
 #pragma once
 
-#include <cstddef>
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "obs/metrics.hpp"
-
-#ifndef KAIROS_NO_OBS
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
+#include <cstddef>
 #include <mutex>
+#include <ostream>
+#include <string>
 #include <thread>
-#endif
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 namespace kairos::obs {
 
@@ -60,8 +53,6 @@ struct TimeSeriesConfig {
   int interval_ms = 250;      ///< sampling cadence
   std::size_t capacity = 600; ///< ring size (600 x 250ms = 2.5 min window)
 };
-
-#ifndef KAIROS_NO_OBS
 
 class TimeSeriesSampler {
  public:
@@ -88,12 +79,15 @@ class TimeSeriesSampler {
 
   /// Snapshot of the ring, oldest first.
   std::vector<TimeSeriesPoint> series() const;
+  /// Points evicted from the ring by its capacity.
+  std::int64_t evicted() const;
 
   /// Aggregate over the last `last_n` points (rate = total delta / total
   /// time; queue depth and p99 from the newest point). Zeros when empty.
   TimeSeriesPoint window(std::size_t last_n) const;
 
-  /// {"interval_ms":...,"points":[{...},...]} — the /series payload.
+  /// {"interval_ms":...,"evicted":n,"points":[{...},...]} — the /series
+  /// payload.
   void write_json(std::ostream& out) const;
 
   const TimeSeriesConfig& config() const { return config_; }
@@ -114,7 +108,7 @@ class TimeSeriesSampler {
   const std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mutex_;
-  std::deque<TimeSeriesPoint> ring_;
+  Ring<TimeSeriesPoint> ring_;
   std::vector<std::string> shard_labels_;
   CounterState last_;
   double last_t_ms_ = 0.0;
@@ -125,33 +119,5 @@ class TimeSeriesSampler {
   std::condition_variable stop_cv_;
   std::thread thread_;
 };
-
-#else  // KAIROS_NO_OBS — inert stand-in.
-
-class TimeSeriesSampler {
- public:
-  explicit TimeSeriesSampler(Registry& = Registry::global(),
-                             TimeSeriesConfig config = {})
-      : config_(config) {}
-  TimeSeriesSampler(const TimeSeriesSampler&) = delete;
-  TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
-
-  void start() {}
-  void stop() {}
-  bool running() const { return false; }
-  void sample_now() {}
-  std::vector<std::string> shard_labels() const { return {}; }
-  std::vector<TimeSeriesPoint> series() const { return {}; }
-  TimeSeriesPoint window(std::size_t) const { return {}; }
-  void write_json(std::ostream& out) const {
-    out << "{\"interval_ms\":" << config_.interval_ms << ",\"points\":[]}";
-  }
-  const TimeSeriesConfig& config() const { return config_; }
-
- private:
-  TimeSeriesConfig config_;
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

@@ -1,6 +1,6 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/trace.hpp"
+
+#include <chrono>
 
 #include "obs/build_info.hpp"
 #include "obs/json.hpp"
@@ -63,38 +63,27 @@ double Tracer::now_us() const {
 
 void Tracer::record(TraceEvent event) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  while (events_.size() >= capacity_ && !events_.empty()) {
-    events_.pop_front();
-    ++dropped_;
-  }
-  if (capacity_ > 0) events_.push_back(std::move(event));
+  events_.push(std::move(event));
 }
 
 void Tracer::set_capacity(std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  while (events_.size() > capacity_) {
-    events_.pop_front();
-    ++dropped_;
-  }
+  events_.set_capacity(capacity);
 }
 
 std::int64_t Tracer::dropped() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
+  return events_.evicted();
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<TraceEvent>(events_.begin(), events_.end());
+  return events_.snapshot();
 }
 
 std::vector<TraceEvent> Tracer::drain() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> out(std::make_move_iterator(events_.begin()),
-                              std::make_move_iterator(events_.end()));
-  events_.clear();
-  return out;
+  return events_.drain();
 }
 
 void Tracer::write_json(std::ostream& out) const {
@@ -172,5 +161,3 @@ void Span::arg(const std::string& key, const std::string& value) {
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

@@ -11,9 +11,7 @@
 // Span doubles as the library's stopwatch: elapsed_ms() is how the
 // resource manager populates the per-phase PhaseTimes of Fig. 7 and the
 // sweep driver its wall-clock columns. Those are *product data*, not
-// observability, so Span keeps timing even under KAIROS_NO_OBS — the macro
-// strips the recording side effects (tracer append, depth bookkeeping),
-// leaving a plain two-clock-read stopwatch.
+// observability: an unarmed span is a plain two-clock-read stopwatch.
 //
 // Tracing is off by default: an un-started Tracer makes Span construction
 // two relaxed atomic loads plus the clock read; nothing is allocated or
@@ -31,20 +29,16 @@
 // AdmissionService::drain()) around start()/stop().
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/ring.hpp"
 #include "util/timer.hpp"
-
-#ifndef KAIROS_NO_OBS
-#include <atomic>
-#include <chrono>
-#include <deque>
-#include <mutex>
-#endif
 
 namespace kairos::obs {
 
@@ -71,8 +65,6 @@ struct TraceEvent {
 /// tags its telemetry with the same id.
 std::uint64_t current_request_id();
 
-#ifndef KAIROS_NO_OBS
-
 /// RAII setter for current_request_id() (saves and restores the previous
 /// value, so scopes nest).
 class RequestScope {
@@ -86,19 +78,6 @@ class RequestScope {
   std::uint64_t prev_;
 };
 
-#else
-
-class RequestScope {
- public:
-  explicit RequestScope(std::uint64_t) {}
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-};
-
-#endif  // KAIROS_NO_OBS
-
-#ifndef KAIROS_NO_OBS
-
 class Tracer {
  public:
   Tracer() = default;
@@ -108,8 +87,8 @@ class Tracer {
   /// The process-wide tracer all Spans report to.
   static Tracer& global();
 
-  /// Clears previously collected events and arms collection; timestamps are
-  /// measured from this call.
+  /// Clears previously collected events and the dropped() count, and arms
+  /// collection; timestamps are measured from this call.
   void start();
   /// Disarms collection; collected events stay available.
   void stop();
@@ -153,9 +132,7 @@ class Tracer {
   /// thread while start() may be rewriting it.
   std::atomic<std::int64_t> epoch_ns_{0};
   mutable std::mutex mutex_;
-  std::deque<TraceEvent> events_;
-  std::size_t capacity_ = 65536;
-  std::int64_t dropped_ = 0;
+  Ring<TraceEvent> events_{65536};
 };
 
 /// Dense id of the calling thread (assigned on first use, stable after).
@@ -190,54 +167,5 @@ class Span {
   bool armed_ = false;  ///< tracer was active when the span opened
   std::vector<std::pair<std::string, std::string>> args_;
 };
-
-#else  // KAIROS_NO_OBS — the stopwatch survives, the recording does not.
-
-class Tracer {
- public:
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  static Tracer& global() {
-    static Tracer instance;
-    return instance;
-  }
-
-  void start() {}
-  void stop() {}
-  bool active() const { return false; }
-  double now_us() const { return 0.0; }
-  void record(TraceEvent) {}
-  void set_capacity(std::size_t) {}
-  std::int64_t dropped() const { return 0; }
-  std::vector<TraceEvent> events() const { return {}; }
-  std::vector<TraceEvent> drain() { return {}; }
-  void write_json(std::ostream& out) const {
-    out << "{\"traceEvents\":[],\"otherData\":{},\"displayTimeUnit\":\"ms\"}";
-  }
-  static void write_json(const std::vector<TraceEvent>&, std::ostream& out) {
-    out << "{\"traceEvents\":[],\"otherData\":{},\"displayTimeUnit\":\"ms\"}";
-  }
-};
-
-inline std::uint64_t current_request_id() { return 0; }
-
-inline int current_thread_id() { return 0; }
-
-class Span {
- public:
-  explicit Span(const std::string&) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  void arg(const std::string&, const std::string&) {}
-  double elapsed_ms() const { return watch_.elapsed_ms(); }
-
- private:
-  util::Stopwatch watch_;
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

@@ -29,8 +29,10 @@
 //
 // The expensive phase work (the mapping search dominates, Fig. 7) runs with
 // no lock held; only the cheap re-validation in commit_staged() takes the
-// write lock. Throughput therefore scales with cores until commits saturate
-// (bench_service measures exactly this).
+// write lock. The design intent is throughput that scales with cores until
+// commits saturate; on a 4-core host, measured closed-loop, more workers
+// lowered throughput instead (ROADMAP, "Make the concurrent service earn
+// its complexity").
 //
 // Sharded commits (PR 9): the manager classifies every staged admission by
 // the shards its reservations touch, and commit_staged() takes only those

@@ -58,8 +58,10 @@ std::string service_stats_json(const core::ResourceManager& manager,
   obs::JsonWriter json(out);
   json.begin_object();
   json.kv("live", static_cast<std::int64_t>(manager.live_count()));
+  // From a snapshot: service workers may be committing to the live
+  // platform while this runs.
   json.kv("fragmentation",
-          platform::external_fragmentation(manager.platform()));
+          platform::external_fragmentation(manager.snapshot_platform()));
   json.kv("pending", static_cast<std::int64_t>(service.pending()));
   json.kv("admitted", counter("service.admissions"));
   json.kv("rejected", counter("service.rejections"));
@@ -207,7 +209,8 @@ CommandSession::Status CommandSession::handle_line(
   if (command == "stats") {
     // No drain: a socket transport must not block the poll thread, and
     // after a batch's "done" everything is settled anyway — `pending` shows
-    // the in-flight count when the caller races a batch.
+    // the in-flight count when the caller races a batch. Fragmentation is
+    // read from a snapshot for the same reason: workers may be committing.
     const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
     const auto counter = [&snapshot](const char* name) -> long long {
       const auto it = snapshot.counters.find(name);
@@ -218,7 +221,7 @@ CommandSession::Status CommandSession::handle_line(
         "rejected=%lld conflicts=%lld shard_commits=%lld "
         "cross_shard_commits=%lld",
         manager_.live_count(),
-        100.0 * platform::external_fragmentation(manager_.platform()),
+        100.0 * platform::external_fragmentation(manager_.snapshot_platform()),
         service_.pending(), counter("service.admissions"),
         counter("service.rejections"), counter("service.commit_conflicts"),
         counter("service.shard_commits"),

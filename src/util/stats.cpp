@@ -76,6 +76,14 @@ double WeightedStats::percentile(double p) const {
   // Empty (equivalently: zero total weight — add() rejects non-positive
   // weights, so n_ == 0 iff weight_ == 0): defined as 0.0.
   if (n_ == 0) return 0.0;
+  Sketch sorted = sketch_;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted_percentile(sorted, weight_, p);
+}
+
+double WeightedStats::sorted_percentile(const Sketch& sorted,
+                                        double total_weight, double p) {
+  if (sorted.empty()) return 0.0;
   // Clamp out-of-range requests instead of asserting: a release build fed
   // p > 100 would otherwise walk past the sketch's total weight and silently
   // report the max, and p < 0 the min — make both explicit. The comparisons
@@ -83,9 +91,7 @@ double WeightedStats::percentile(double p) const {
   // p = 0 branch rather than poisoning the cumulative-weight walk.
   if (!(p > 0.0)) p = 0.0;
   if (!(p < 100.0)) p = 100.0;
-  std::vector<std::pair<double, double>> sorted = sketch_;
-  std::sort(sorted.begin(), sorted.end());
-  const double target = p / 100.0 * weight_;
+  const double target = p / 100.0 * total_weight;
   double cumulative = 0.0;
   for (const auto& [value, weight] : sorted) {
     cumulative += weight;
@@ -99,7 +105,7 @@ void WeightedStats::compact() {
   // and the value becomes the weighted midpoint, so total weight (and the
   // cumulative-weight walk of percentile()) stays consistent.
   std::sort(sketch_.begin(), sketch_.end());
-  std::vector<std::pair<double, double>> fused;
+  Sketch fused;
   fused.reserve(sketch_.size() / 2 + 1);
   for (std::size_t i = 0; i + 1 < sketch_.size(); i += 2) {
     const auto& [va, wa] = sketch_[i];

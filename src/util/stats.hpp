@@ -75,6 +75,16 @@ class WeightedStats {
   /// centroids, making the result an estimate. 0 when empty.
   double percentile(double p) const;
 
+  /// (value, weight) centroids backing percentile(), in insertion order.
+  using Sketch = std::vector<std::pair<double, double>>;
+  const Sketch& sketch() const { return sketch_; }
+
+  /// percentile()'s cumulative-weight walk over a sketch already sorted
+  /// ascending, with `total_weight` = weight(). Sorting one copy and reading
+  /// several p from it is bit-identical to one percentile() call per p.
+  static double sorted_percentile(const Sketch& sorted, double total_weight,
+                                  double p);
+
   /// Merges another accumulator into this one (parallel-friendly).
   void merge(const WeightedStats& other);
 
@@ -95,9 +105,9 @@ class WeightedStats {
   /// weighted sum of squared deviations.
   double welford_mean_ = 0.0;
   double m2_ = 0.0;
-  /// (value, weight) centroids backing percentile(); compacted by merging
-  /// value-adjacent pairs when kSketchCapacity is exceeded.
-  std::vector<std::pair<double, double>> sketch_;
+  /// Compacted by merging value-adjacent pairs when kSketchCapacity is
+  /// exceeded.
+  Sketch sketch_;
 };
 
 /// Percentile of a sample (linear interpolation between closest ranks).

@@ -34,8 +34,9 @@ Platform random_platform(util::Xoshiro256& rng) {
       return platform::make_mesh(static_cast<int>(rng.uniform_int(2, 5)),
                                  static_cast<int>(rng.uniform_int(2, 5)));
     case 1:
-      return platform::make_torus(static_cast<int>(rng.uniform_int(2, 4)),
-                                  static_cast<int>(rng.uniform_int(2, 4)));
+      // make_torus requires both sides > 2 (a 2-wide wrap duplicates links).
+      return platform::make_torus(static_cast<int>(rng.uniform_int(3, 4)),
+                                  static_cast<int>(rng.uniform_int(3, 4)));
     case 2:
       return platform::make_star(static_cast<int>(rng.uniform_int(4, 12)));
     default:

@@ -1,7 +1,6 @@
 // Tests for obs::EventLog: level gating, ring eviction accounting, sink
 // rate limiting (token bucket), request-id pickup from the calling thread's
-// RequestScope, and the /logs JSON shape. Compiled only in OBS builds — the
-// NO_OBS stand-in keeps nothing to assert on (obs_noop_test covers it).
+// RequestScope, and the /logs JSON shape.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,6 +54,23 @@ TEST(EventLogTest, RingEvictsOldestAndCounts) {
   EXPECT_EQ(events.front().message, "event 6");
   EXPECT_EQ(events.back().message, "event 9");
   EXPECT_EQ(log.evicted(), 6);
+
+  // Shrinking evicts the oldest and counts them too.
+  log.set_capacity(1);
+  ASSERT_EQ(log.recent().size(), 1u);
+  EXPECT_EQ(log.recent().front().message, "event 9");
+  EXPECT_EQ(log.evicted(), 9);
+
+  // Capacity 0 keeps nothing, and every event still counts.
+  log.set_capacity(0);
+  log.log(LogLevel::kInfo, "test", "unkept");
+  EXPECT_TRUE(log.recent().empty());
+  EXPECT_EQ(log.evicted(), 11);
+
+  // Events below the level never reach the ring, so they are not evictions.
+  log.set_min_level(LogLevel::kWarn);
+  log.log(LogLevel::kInfo, "test", "gated");
+  EXPECT_EQ(log.evicted(), 11);
 }
 
 TEST(EventLogTest, SinkRateLimitDropsBeyondBudgetAndCounts) {

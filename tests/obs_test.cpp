@@ -20,6 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/crisp.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace kairos::obs {
 namespace {
@@ -82,6 +84,32 @@ TEST(MetricsTest, HistogramDigestAndConcurrentRecords) {
   EXPECT_NEAR(stats.p50, 500.0, 25.0);
   EXPECT_NEAR(stats.p95, 950.0, 25.0);
   EXPECT_NEAR(stats.p99, 990.0, 25.0);
+}
+
+TEST(MetricsTest, HistogramQuantilesMatchPerCallPercentilesBitForBit) {
+  // stats() sorts one copy of the sketch for all three quantiles; the
+  // result must equal one WeightedStats::percentile() call per quantile,
+  // exactly, also once the sketch has compacted into weighted centroids.
+  Registry registry;
+  const Histogram latency = registry.histogram("h");
+  util::WeightedStats reference;
+  util::Xoshiro256 rng(0x5EED);
+  for (int i = 0; i < 30000; ++i) {
+    // Heavy-tailed and with repeats, like admission latencies.
+    const double value = i % 7 == 0 ? 3.0 : util::exponential(rng, 2.0);
+    latency.record(value);
+    reference.add(value, 1.0);
+  }
+  ASSERT_LT(reference.sketch().size(), 30000u) << "sketch never compacted";
+
+  const HistogramStats stats = latency.stats();
+  EXPECT_EQ(stats.count, 30000);
+  EXPECT_EQ(stats.mean, reference.mean());
+  EXPECT_EQ(stats.min, reference.min());
+  EXPECT_EQ(stats.max, reference.max());
+  EXPECT_EQ(stats.p50, reference.percentile(50.0));
+  EXPECT_EQ(stats.p95, reference.percentile(95.0));
+  EXPECT_EQ(stats.p99, reference.percentile(99.0));
 }
 
 TEST(MetricsTest, ResetZeroesInPlaceAndHandlesStayValid) {

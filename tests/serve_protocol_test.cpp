@@ -1,10 +1,8 @@
 // Tests for the daemon's command protocol, transport-independent by
 // construction: the same service::CommandSession is driven directly (the
 // stdin transport) and over a net::Server with the session-per-connection
-// wiring `kairos_cli --serve --listen` uses. Runs identically with and
-// without KAIROS_NO_OBS — request ids are product data (minted by the
-// admission service, echoed in replies), so only mode-independent facts are
-// asserted: reply shapes, ordering, id echo — never counter values.
+// wiring `kairos_cli --serve --listen` uses: reply shapes, ordering, the
+// request-id echo, and the telemetry served on the same socket.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -259,14 +257,39 @@ TEST(ServeProtocolTest, HttpEndpointsAnswerOnTheSameSocket) {
   EXPECT_EQ(stats.value().status, 200);
   EXPECT_NE(stats.value().body.find("\"live\":0"), std::string::npos);
 
-  // /metrics serves a terminated OpenMetrics document in every build mode
-  // (empty-but-valid under KAIROS_NO_OBS).
+  // Settle a batch over the line protocol, then scrape what it recorded.
+  net::LineClient client;
+  ASSERT_TRUE(client.connect(fixture.address).ok());
+  ASSERT_TRUE(client.send_line("gen 3 5").ok());
+  for (;;) {
+    auto line = client.read_line(10000);
+    ASSERT_TRUE(line.ok()) << line.error();
+    if (line.value() == "done") break;
+  }
+
+  // /metrics renders the registry the service records into: the counters
+  // read back exactly, and every settled request is one latency sample.
+  obs::Registry& registry = obs::Registry::global();
+  const std::int64_t admitted = registry.counter("service.admissions").value();
+  const std::int64_t rejected = registry.counter("service.rejections").value();
+  ASSERT_GE(admitted + rejected, 3);
   auto metrics = net::http_get(fixture.address, "/metrics");
   ASSERT_TRUE(metrics.ok()) << metrics.error();
   EXPECT_EQ(metrics.value().status, 200);
-  EXPECT_NE(metrics.value().body.find("# EOF"), std::string::npos);
+  const std::string& body = metrics.value().body;
+  EXPECT_NE(body.find("kairos_service_admissions_total " +
+                      std::to_string(admitted) + "\n"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("kairos_service_latency_ms_count " +
+                      std::to_string(admitted + rejected) + "\n"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("kairos_service_latency_ms{quantile=\"0.99\"} "),
+            std::string::npos);
+  EXPECT_NE(body.find("# EOF"), std::string::npos);
 
-  // /healthz with no SLOs configured answers 200 in both modes.
+  // /healthz with no SLOs configured answers 200.
   auto health = net::http_get(fixture.address, "/healthz");
   ASSERT_TRUE(health.ok()) << health.error();
   EXPECT_EQ(health.value().status, 200);

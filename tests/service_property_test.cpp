@@ -22,6 +22,11 @@
 // the per-region commit locks, ordered multi-lock cross-shard commits and
 // per-shard requeues — both must uphold the same two invariants.
 //
+// A second churn runs the same 4-shard service under the live telemetry
+// plane a `--serve --listen` daemon carries: the tracer armed, the SLO
+// sampler ticking, and a socket server whose /metrics, /healthz and /trace
+// a scraper thread reads while the admissions commit.
+//
 // Run under -fsanitize=thread to also certify the locking discipline; the
 // ctest label is "property" so the TSan CI lane picks it up via -L property.
 #include <gtest/gtest.h>
@@ -36,6 +41,13 @@
 
 #include "core/resource_manager.hpp"
 #include "gen/datasets.hpp"
+#include "net/net.hpp"
+#include "net/server.hpp"
+#include "obs/event_log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry_server.hpp"
+#include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "platform/crisp.hpp"
 #include "service/admission_service.hpp"
 
@@ -200,11 +212,105 @@ TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
     for (auto& future : futures) {
       if (!future.valid()) continue;
       const auto report = future.get();
-      if (report.admitted) ASSERT_TRUE(service.remove(report.handle).ok());
+      if (report.admitted) {
+        ASSERT_TRUE(service.remove(report.handle).ok());
+      }
     }
     futures.clear();
   }
   EXPECT_EQ(manager.live_count(), 0u);
+}
+
+TEST(ServicePropertyTest, ShardedChurnUnderTheLiveTelemetryPlane) {
+  platform::Platform crisp = platform::make_crisp_platform();
+  core::KairosConfig kairos_config;
+  kairos_config.shards = 4;
+  core::ResourceManager manager(crisp, kairos_config);
+  AdmissionService service(manager, {/*threads=*/4, /*max_batch=*/3});
+
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Histogram latency = registry.histogram("service.latency_ms");
+  const std::int64_t samples_before = latency.stats().count;
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.start();
+  // A small sampler ring at a fast cadence, so points are evicted while
+  // the scraper reads /healthz.
+  obs::TimeSeriesSampler sampler(registry,
+                                 {/*interval_ms=*/5, /*capacity=*/8});
+  obs::TelemetryServer telemetry(registry, tracer, obs::EventLog::global(),
+                                 sampler);
+  net::Server server{telemetry};
+  ASSERT_TRUE(
+      server.listen(net::parse_address("127.0.0.1:0").value()).ok());
+  server.start();
+  net::Address address;
+  address.port = server.bound_port();
+  sampler.start();
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> scrape_failed{false};
+  std::atomic<int> scrapes{0};
+  std::atomic<int> request_spans{0};  ///< /trace spans tagged with a request
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      for (const std::string path : {"/metrics", "/healthz", "/trace"}) {
+        auto response = net::http_get(address, path);
+        if (!response.ok() || response.value().status != 200) {
+          ADD_FAILURE() << path << " scrape failed";
+          scrape_failed = true;
+          return;
+        }
+        if (path != "/trace") continue;
+        const std::string& body = response.value().body;
+        for (std::size_t at = body.find("\"req\":"); at != std::string::npos;
+             at = body.find("\"req\":", at + 1)) {
+          ++request_spans;
+        }
+      }
+      ++scrapes;
+    }
+  });
+
+  const auto pool =
+      gen::make_dataset(gen::DatasetKind::kCommunicationSmall, 24, 0x7E1E);
+  constexpr int kClients = 4;
+  constexpr int kIterations = 40;
+  std::atomic<std::int64_t> settled{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kIterations; ++i) {
+        const auto& app =
+            pool[static_cast<std::size_t>(c * kIterations + i) % pool.size()];
+        const core::AdmissionReport report = service.submit(app).get();
+        ++settled;
+        if (report.admitted) {
+          ASSERT_TRUE(service.remove(report.handle).ok());
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  service.drain();
+  // Let the scraper see the settled state at least once.
+  const int scrapes_at_drain = scrapes.load();
+  while (!scrape_failed && scrapes.load() < scrapes_at_drain + 1) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_relaxed);
+  scraper.join();
+  sampler.stop();
+  server.stop();
+  tracer.stop();
+  tracer.drain();
+
+  EXPECT_EQ(settled.load(), kClients * kIterations);
+  EXPECT_EQ(latency.stats().count - samples_before, settled.load());
+  EXPECT_EQ(manager.live_count(), 0u);
+  EXPECT_TRUE(manager.platform().availability_consistent());
+  EXPECT_GT(request_spans.load(), 0) << "no request-scoped span on /trace";
+  EXPECT_FALSE(sampler.series().empty());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "core/resource_manager.hpp"
 #include "gen/datasets.hpp"
+#include "obs/metrics.hpp"
 #include "platform/crisp.hpp"
 #include "service/admission_service.hpp"
 
@@ -124,6 +125,39 @@ TEST(AdmissionServiceTest, CommitLogMatchesLiveBookkeeping) {
     // The log records exactly the reservations the manager holds live.
     EXPECT_EQ(it->task_allocations, manager.allocations_of(handle));
   }
+}
+
+TEST(AdmissionServiceTest, EverySettledRequestIsOneLatencySample) {
+  // service.latency_ms records one sample per settled request, admitted or
+  // rejected, whichever path (batch commit, conflict requeue, exclusive
+  // fallback) settled it. The registry is process-wide, so count deltas.
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter admissions = registry.counter("service.admissions");
+  const obs::Counter rejections = registry.counter("service.rejections");
+  const obs::Histogram latency = registry.histogram("service.latency_ms");
+  const std::int64_t admissions_before = admissions.value();
+  const std::int64_t rejections_before = rejections.value();
+  const std::int64_t samples_before = latency.stats().count;
+
+  platform::Platform crisp = platform::make_crisp_platform();
+  core::KairosConfig kairos_config;
+  kairos_config.shards = 4;
+  core::ResourceManager manager(crisp, kairos_config);
+  AdmissionService service(manager, {/*threads=*/4, /*max_batch=*/3});
+  // Enough submissions to fill CRISP, so some are rejected.
+  const auto pool = small_pool(40, 0x1A7E);
+  std::vector<std::future<core::AdmissionReport>> futures;
+  for (const auto& app : pool) futures.push_back(service.submit(app));
+  std::int64_t admitted = 0;
+  std::int64_t rejected = 0;
+  for (auto& future : futures) (future.get().admitted ? admitted : rejected)++;
+  service.drain();
+
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(admissions.value() - admissions_before, admitted);
+  EXPECT_EQ(rejections.value() - rejections_before, rejected);
+  EXPECT_EQ(latency.stats().count - samples_before, admitted + rejected);
 }
 
 TEST(StageCommitTest, StagedAdmissionCommitsOntoLivePlatform) {

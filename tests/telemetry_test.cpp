@@ -1,9 +1,6 @@
 // Tests for the telemetry plane's observability half: the SLO time-series
 // sampler (counter differencing, shard-share columns, window aggregation),
 // the health model, and the TelemetryServer endpoints over a real socket.
-// Compiled only in OBS builds — under NO_OBS the sampler and registry are
-// inert and there is nothing to sample (the serve-protocol test covers the
-// transport in both modes).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -100,6 +97,13 @@ TEST(TimeSeriesSamplerTest, RingIsBoundedAndWindowAggregates) {
     sampler.sample_now();
   }
   EXPECT_EQ(sampler.series().size(), 4u);
+  // 8 points through a 4-point ring: the 4 oldest were evicted, counted,
+  // and the count is exported on /series.
+  EXPECT_EQ(sampler.evicted(), 4);
+  std::ostringstream series_json;
+  sampler.write_json(series_json);
+  EXPECT_NE(series_json.str().find("\"evicted\":4"), std::string::npos)
+      << series_json.str();
 
   // Window rate = total delta over total time of the covered span.
   const TimeSeriesPoint window = sampler.window(4);
@@ -111,6 +115,27 @@ TEST(TimeSeriesSamplerTest, RingIsBoundedAndWindowAggregates) {
   // An empty sampler reports zeros.
   TimeSeriesSampler empty(registry);
   EXPECT_DOUBLE_EQ(empty.window(10).dt_ms, 0.0);
+  EXPECT_EQ(empty.evicted(), 0);
+}
+
+TEST(TelemetryRingTest, TracerCountsEvictionsLikeTheSampler) {
+  // The tracer's span buffer is the same bounded ring: evictions are
+  // counted on overflow and on a shrink, drain() keeps the count, and
+  // start() begins a fresh count.
+  Tracer tracer;
+  tracer.start();
+  tracer.set_capacity(3);
+  for (int i = 0; i < 5; ++i) tracer.record({});
+  EXPECT_EQ(tracer.events().size(), 3u);
+  EXPECT_EQ(tracer.dropped(), 2);
+  tracer.set_capacity(1);
+  EXPECT_EQ(tracer.dropped(), 4);
+  EXPECT_EQ(tracer.drain().size(), 1u);
+  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(tracer.dropped(), 4);
+  tracer.start();
+  EXPECT_EQ(tracer.dropped(), 0);
+  tracer.stop();
 }
 
 TEST(TimeSeriesSamplerTest, BackgroundThreadSamplesOnItsOwn) {
