@@ -207,10 +207,11 @@ def phase_tcp(cli):
             "kairos_service_admissions_total" in body,
             "admissions counter missing from /metrics",
         )
-        require(
-            re.search(r'kairos_service_commits_total\{shard="\d+"\}', body),
-            "per-shard commit family missing from /metrics",
-        )
+        for family in ("commit_conflicts", "fallbacks"):
+            require(
+                re.search(rf"^kairos_service_{family}_total \d+$", body, re.M),
+                f"unlabelled {family} counter missing from /metrics",
+            )
         print(f"  /metrics ok ({samples} samples, {families} families)")
 
         # /healthz under generous SLOs: 200 ok.

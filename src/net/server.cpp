@@ -42,9 +42,21 @@ const char* status_reason(int status) {
     case 204: return "No Content";
     case 400: return "Bad Request";
     case 404: return "Not Found";
+    case 431: return "Request Header Fields Too Large";
     case 503: return "Service Unavailable";
     default: return "Status";
   }
+}
+
+/// Status line, headers and (unless HEAD) body of an HTTP-lite response.
+std::string render_response(const HttpResponse& response, bool head_only) {
+  std::string out = "HTTP/1.0 " + std::to_string(response.status) + " " +
+                    status_reason(response.status) + "\r\n";
+  out += "Content-Type: " + response.content_type + "\r\n";
+  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  out += "Connection: close\r\n\r\n";
+  if (!head_only) out += response.body;
+  return out;
 }
 
 }  // namespace
@@ -131,23 +143,23 @@ void Server::stop() {
 }
 
 void Server::dispatch_http(Conn& conn) {
-  // Request line + headers end at the first blank line. The mixed "\n\r\n"
-  // form occurs on header-less requests: handle_input strips the request
-  // line's "\r" before replaying it, leaving "<line>\n" + "\r\n".
-  auto end = conn.inbuf_.find("\r\n\r\n");
+  // Request line + headers end at the first blank line; clients that mix
+  // bare "\n" with "\r\n" produce the "\n\r\n" form.
+  auto end = conn.inbuf_.find("\r\n\r\n", conn.in_pos_);
   std::size_t skip = 4;
   if (end == std::string::npos) {
-    end = conn.inbuf_.find("\n\r\n");
+    end = conn.inbuf_.find("\n\r\n", conn.in_pos_);
     skip = 3;
   }
   if (end == std::string::npos) {
-    end = conn.inbuf_.find("\n\n");
+    end = conn.inbuf_.find("\n\n", conn.in_pos_);
     skip = 2;
   }
   if (end == std::string::npos) return;  // headers incomplete, keep reading
 
-  const std::string head = conn.inbuf_.substr(0, end);
-  conn.inbuf_.erase(0, end + skip);
+  const std::string head =
+      conn.inbuf_.substr(conn.in_pos_, end - conn.in_pos_);
+  conn.in_pos_ = end + skip;
   conn.http_dispatched_ = true;
 
   HttpRequest request;
@@ -165,39 +177,87 @@ void Server::dispatch_http(Conn& conn) {
         request_line.substr(first_space + 1, second_space - first_space - 1);
   }
 
-  HttpResponse response = handler_.on_http(request);
-  std::string out = "HTTP/1.0 " + std::to_string(response.status) + " " +
-                    status_reason(response.status) + "\r\n";
-  out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  out += "Connection: close\r\n\r\n";
-  if (request.method != "HEAD") out += response.body;
-  conn.send(out);
+  const HttpResponse response = handler_.on_http(request);
+  conn.send(render_response(response, request.method == "HEAD"));
   conn.close_after_write();
+}
+
+void Server::reject_oversized(Conn& conn) {
+  const std::string limit = std::to_string(kMaxPendingInput);
+  if (conn.http_) {
+    HttpResponse response;
+    response.status = 431;
+    response.body = "request headers exceed " + limit + " bytes\n";
+    conn.send(render_response(response, false));
+  } else {
+    conn.send_line("error line exceeds " + limit + " bytes");
+  }
+  conn.inbuf_.clear();
+  conn.in_pos_ = 0;
+  conn.close_after_write();
+}
+
+void Server::read_input(Conn& conn, bool& dead) {
+  // Stop once the pending input passes the cap (the connection is then
+  // rejected, or — while busy — read again after it drains), and spend at
+  // most about a cap's worth of reading per poll iteration, so one fast
+  // sender can neither grow the buffer nor monopolise the poll thread.
+  std::size_t read = 0;
+  while (read <= kMaxPendingInput &&
+         conn.pending_input() <= kMaxPendingInput) {
+    char chunk[4096];
+    const ssize_t n = ::recv(conn.fd_, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      read += static_cast<std::size_t>(n);
+      // Once closing, nothing will dispatch further input: drop it.
+      if (!conn.closing_) {
+        conn.inbuf_.append(chunk, static_cast<std::size_t>(n));
+      }
+      continue;
+    }
+    if (n == 0) dead = true;  // peer closed; flush what we owe, then drop
+    return;                   // EAGAIN or error
+  }
 }
 
 void Server::handle_input(Conn& conn) {
   if (conn.http_) {
     if (!conn.http_dispatched_) dispatch_http(conn);
-    return;
-  }
-  // Dispatch buffered complete lines in order; pause while the handler has
-  // a reply in flight (busy) so command order is preserved.
-  while (!conn.busy_ && !conn.closing_) {
-    const auto newline = conn.inbuf_.find('\n');
-    if (newline == std::string::npos) return;
-    std::string line = conn.inbuf_.substr(0, newline);
-    conn.inbuf_.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    // The first line decides the framing for the whole connection.
-    if (!conn.saw_line_ && looks_like_http(line)) {
-      conn.http_ = true;
-      conn.inbuf_ = line + "\n" + conn.inbuf_;  // replay for the HTTP parser
-      if (!conn.http_dispatched_) dispatch_http(conn);
-      return;
+  } else {
+    // Dispatch buffered complete lines in order; pause while the handler has
+    // a reply in flight (busy) so command order is preserved.
+    while (!conn.busy_ && !conn.closing_) {
+      const auto newline = conn.inbuf_.find('\n', conn.in_pos_);
+      if (newline == std::string::npos) break;
+      const std::size_t start = conn.in_pos_;
+      conn.in_pos_ = newline + 1;
+      std::string line = conn.inbuf_.substr(start, newline - start);
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      // The first line decides the framing for the whole connection.
+      if (!conn.saw_line_ && looks_like_http(line)) {
+        conn.http_ = true;
+        conn.in_pos_ = start;  // the HTTP parser re-reads the request line
+        dispatch_http(conn);
+        break;
+      }
+      conn.saw_line_ = true;
+      handler_.on_line(conn, line);
     }
-    conn.saw_line_ = true;
-    handler_.on_line(conn, line);
+  }
+  // Drop the consumed prefix once it is at least half the buffer, so every
+  // byte is moved O(1) times however many lines it arrived with.
+  if (conn.in_pos_ == conn.inbuf_.size()) {
+    conn.inbuf_.clear();
+    conn.in_pos_ = 0;
+  } else if (conn.in_pos_ >= conn.inbuf_.size() / 2) {
+    conn.inbuf_.erase(0, conn.in_pos_);
+    conn.in_pos_ = 0;
+  }
+  // Over the cap with nothing left to dispatch: a line without its '\n',
+  // or HTTP headers without their blank line.
+  if (!conn.busy_ && !conn.closing_ &&
+      conn.pending_input() > kMaxPendingInput) {
+    reject_oversized(conn);
   }
 }
 
@@ -207,7 +267,8 @@ void Server::loop() {
     pfds.clear();
     for (const int fd : listen_fds_) pfds.push_back({fd, POLLIN, 0});
     for (const auto& conn : conns_) {
-      short events = POLLIN;
+      // A busy connection at the input cap is not read until it drains.
+      short events = conn->pending_input() > kMaxPendingInput ? 0 : POLLIN;
       if (!conn->outbuf_.empty()) events |= POLLOUT;
       pfds.push_back({conn->fd_, events, 0});
     }
@@ -236,18 +297,7 @@ void Server::loop() {
       // New connections accepted this iteration have no pollfd yet.
       const bool polled = listeners + i < pfds.size();
       if (polled && (pfds[listeners + i].revents & (POLLIN | POLLHUP))) {
-        for (;;) {
-          char chunk[4096];
-          const ssize_t n = ::recv(conn.fd_, chunk, sizeof(chunk), 0);
-          if (n > 0) {
-            conn.inbuf_.append(chunk, static_cast<std::size_t>(n));
-            continue;
-          }
-          if (n == 0) {
-            dead = true;  // peer closed; flush what we owe, then drop
-          }
-          break;  // EAGAIN or error
-        }
+        read_input(conn, dead);
         handle_input(conn);
       }
       if (conn.busy_) {

@@ -24,6 +24,14 @@
 // until the handler clears the flag. This is how `--serve --listen` keeps
 // answering /metrics while a batch of admissions is in flight.
 //
+// Bounded input: a connection holds at most Server::kMaxPendingInput bytes
+// of undispatched input. A line that outgrows it without its '\n' (or HTTP
+// headers without their blank line) gets one error reply — an "error" line,
+// or HTTP 431 — and the connection is closed; a busy connection whose
+// buffered commands reach the cap is simply not read until it catches up.
+// Consumed input is skipped by offset and compacted in bulk, so dispatching
+// n buffered lines costs O(total bytes), not O(n * buffer).
+//
 // Shutdown: stop() (or destruction) joins the poll thread and closes every
 // socket; Unix-domain socket paths are unlinked.
 #pragma once
@@ -71,12 +79,15 @@ class Conn {
   int fd_ = -1;
   std::uint64_t id_ = 0;
   std::string inbuf_;
+  std::size_t in_pos_ = 0;  ///< inbuf_ bytes already consumed
   std::string outbuf_;
   bool busy_ = false;
   bool closing_ = false;
   bool http_ = false;          ///< first line looked like an HTTP request
   bool http_dispatched_ = false;
   bool saw_line_ = false;      ///< a protocol line was already dispatched
+
+  std::size_t pending_input() const { return inbuf_.size() - in_pos_; }
 };
 
 class Server {
@@ -90,6 +101,9 @@ class Server {
     /// Connection is going away (peer closed or server stopping).
     virtual void on_close(Conn& conn) { (void)conn; }
   };
+
+  /// Undispatched input a connection may hold; see "Bounded input".
+  static constexpr std::size_t kMaxPendingInput = 64 * 1024;
 
   explicit Server(Handler& handler) : handler_(handler) {}
   Server(const Server&) = delete;
@@ -114,8 +128,11 @@ class Server {
 
  private:
   void loop();
+  void read_input(Conn& conn, bool& dead);
   void handle_input(Conn& conn);
   void dispatch_http(Conn& conn);
+  /// The error reply for input past kMaxPendingInput; closes after writing.
+  void reject_oversized(Conn& conn);
 
   Handler& handler_;
   std::vector<int> listen_fds_;

@@ -17,8 +17,7 @@ const char* to_string(LogLevel level) {
   return "info";
 }
 
-void write_log_event_json(const LogEvent& event, std::ostream& out) {
-  JsonWriter json(out);
+void write_event(JsonWriter& json, const LogEvent& event) {
   json.begin_object();
   json.kv("ts_ms", event.ts_ms);
   json.kv("level", to_string(event.level));
@@ -69,7 +68,8 @@ void EventLog::log(LogLevel level, const std::string& component,
       continue;
     }
     sink.tokens -= 1.0;
-    write_log_event_json(event, *sink.out);
+    JsonWriter json(*sink.out);
+    write_event(json, event);
     *sink.out << "\n";
   }
 
@@ -145,18 +145,7 @@ void EventLog::write_json(std::ostream& out) const {
   json.begin_object();
   json.key("events");
   json.begin_array();
-  for (const LogEvent& event : events) {
-    json.begin_object();
-    json.kv("ts_ms", event.ts_ms);
-    json.kv("level", std::string(to_string(event.level)));
-    json.kv("component", event.component);
-    json.kv("message", event.message);
-    if (event.request_id != 0) {
-      json.kv("request_id", static_cast<std::int64_t>(event.request_id));
-    }
-    for (const auto& [key, value] : event.fields) json.kv(key, value);
-    json.end_object();
-  }
+  for (const LogEvent& event : events) write_event(json, event);
   json.end_array();
   json.kv("evicted", evicted);
   json.kv("sink_dropped", dropped);

@@ -1,6 +1,6 @@
 // Structured event logging: the third leg of the observability plane next
 // to metrics (aggregates) and spans (timings). One LogEvent is a discrete
-// thing that *happened* — request submitted, commit conflicted on shard 3,
+// thing that *happened* — request submitted, commit conflicted on retry 2,
 // SLO breached — with a level, a component, free-form key/value fields and
 // the admission-service request id of the surrounding RequestScope, so one
 // request's journey is greppable across metrics, trace JSON and log.
@@ -43,8 +43,11 @@ struct LogEvent {
   std::vector<std::pair<std::string, std::string>> fields;
 };
 
-/// Serialises one event as a single JSONL line (no trailing newline).
-void write_log_event_json(const LogEvent& event, std::ostream& out);
+class JsonWriter;
+
+/// Writes one event as a JSON object — the single serialisation behind both
+/// a sink's JSONL line and each entry of write_json()'s "events" array.
+void write_event(JsonWriter& json, const LogEvent& event);
 
 class EventLog {
  public:

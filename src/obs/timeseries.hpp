@@ -15,9 +15,6 @@
 //                                          cannot be differenced; /healthz
 //                                          documents this as
 //                                          since-process-start p99)
-//   service.commits.shard.<k|other>     -> per-shard share of the window's
-//                                          commits (the co-placement /
-//                                          contention picture)
 #pragma once
 
 #include <atomic>
@@ -44,9 +41,6 @@ struct TimeSeriesPoint {
   double conflicts_per_sec = 0.0;
   double queue_depth = 0.0;     ///< gauge at sample time
   double p99_latency_ms = 0.0;  ///< cumulative, since process start
-  /// Share of this window's optimistic commits per shard label (parallel
-  /// to shard_labels); empty when no shard commit counters exist.
-  std::vector<double> shard_commit_share;
 };
 
 struct TimeSeriesConfig {
@@ -72,11 +66,6 @@ class TimeSeriesSampler {
   /// usable instead of start() when the caller has its own scheduler).
   void sample_now();
 
-  /// Shard labels of shard_commit_share's columns ("0", "1", ..., "other").
-  /// The set grows as new shard counters appear in the registry; existing
-  /// columns never move, so older (shorter) points stay aligned.
-  std::vector<std::string> shard_labels() const;
-
   /// Snapshot of the ring, oldest first.
   std::vector<TimeSeriesPoint> series() const;
   /// Points evicted from the ring by its capacity.
@@ -97,7 +86,6 @@ class TimeSeriesSampler {
     std::int64_t admissions = 0;
     std::int64_t rejections = 0;
     std::int64_t conflicts = 0;
-    std::vector<std::int64_t> shard_commits;
   };
 
   void loop();
@@ -109,7 +97,6 @@ class TimeSeriesSampler {
 
   mutable std::mutex mutex_;
   Ring<TimeSeriesPoint> ring_;
-  std::vector<std::string> shard_labels_;
   CounterState last_;
   double last_t_ms_ = 0.0;
   bool primed_ = false;  ///< first sample only primes the deltas

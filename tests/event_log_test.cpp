@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/event_log.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace kairos::obs {
@@ -124,7 +125,7 @@ TEST(EventLogTest, WriteJsonCarriesEventsAndCounters) {
   log.log(LogLevel::kWarn, "svc", "evicted soon");
   {
     const RequestScope scope(9);
-    log.log(LogLevel::kError, "svc", "boom", {{"shard", "3"}});
+    log.log(LogLevel::kError, "svc", "boom", {{"attempt", "3"}});
   }
 
   std::ostringstream out;
@@ -134,11 +135,37 @@ TEST(EventLogTest, WriteJsonCarriesEventsAndCounters) {
   EXPECT_NE(json.find("\"level\":\"error\""), std::string::npos);
   EXPECT_NE(json.find("\"message\":\"boom\""), std::string::npos);
   EXPECT_NE(json.find("\"request_id\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"shard\":\"3\""), std::string::npos);
+  EXPECT_NE(json.find("\"attempt\":\"3\""), std::string::npos);
   EXPECT_NE(json.find("\"evicted\":1"), std::string::npos);
   EXPECT_NE(json.find("\"sink_dropped\":0"), std::string::npos);
   // The evicted event is gone from the payload.
   EXPECT_EQ(json.find("evicted soon"), std::string::npos);
+}
+
+TEST(EventLogTest, SinkLineAndLogsEntryAreTheSameObject) {
+  // One event, with a request id and fields, must serialise identically to
+  // a JSONL sink and inside write_json()'s "events" array (the /logs body).
+  EventLog log;
+  auto sink = std::make_shared<std::ostringstream>();
+  log.add_sink(sink, 1000.0);
+  {
+    const RequestScope scope(17);
+    log.log(LogLevel::kWarn, "service", "commit conflict",
+            {{"app", "fft \"a\""}, {"attempt", "1"}});
+  }
+  std::string line = sink->str();
+  ASSERT_FALSE(line.empty());
+  ASSERT_EQ(line.back(), '\n');
+  line.pop_back();
+  EXPECT_TRUE(json_valid(line));
+  EXPECT_NE(line.find("\"request_id\":17"), std::string::npos);
+  EXPECT_NE(line.find("\"attempt\":\"1\""), std::string::npos);
+
+  std::ostringstream out;
+  log.write_json(out);
+  EXPECT_EQ(out.str(),
+            "{\"events\":[" + line + "],\"evicted\":0,\"sink_dropped\":0}");
+  log.clear_sinks();
 }
 
 TEST(EventLogTest, ResetClearsRingButKeepsSinks) {

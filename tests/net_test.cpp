@@ -1,7 +1,12 @@
 // Tests for the net layer: address parsing, the poll-driven server's dual
 // framing (HTTP-lite and line protocol on one listener), the busy/on_tick
-// slow-work contract, and Unix-domain listeners.
+// slow-work contract, bounded per-connection input, and Unix-domain
+// listeners.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -207,6 +212,74 @@ TEST(ServerTest, UnixDomainListenerServesAndUnlinksOnStop) {
   EXPECT_TRUE(second.listen(address).ok());
   second.stop();
   std::remove(path.c_str());
+}
+
+/// Connects to 127.0.0.1:`port`, sends `payload` (stopping quietly if the
+/// server closes first), then returns everything the server wrote before it
+/// closed. Raw sockets: LineClient only sends '\n'-terminated lines.
+std::string send_and_collect(int port, const std::string& payload) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "socket failed";
+  sockaddr_in sin{};
+  sin.sin_family = AF_INET;
+  sin.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &sin.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)) != 0) {
+    ::close(fd);
+    return "connect failed";
+  }
+  for (std::size_t sent = 0; sent < payload.size();) {
+    const ssize_t n = ::send(fd, payload.data() + sent, payload.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server closed on us: expected past the cap
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string received;
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) break;  // a hang fails the caller
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return received;
+}
+
+TEST(ServerTest, OversizedInputIsRejectedAndClosed) {
+  EchoHandler handler;
+  Server server(handler);
+  ASSERT_TRUE(server.listen(parse_address("127.0.0.1:0").value()).ok());
+  server.start();
+  Address address;
+  address.port = server.bound_port();
+  const std::string mib(std::size_t{1} << 20, 'x');
+  ASSERT_GT(mib.size(), Server::kMaxPendingInput);
+
+  // A 1 MiB line with no newline: one error line, then the server closes
+  // (send_and_collect returning at all proves the close).
+  const std::string line_reply = send_and_collect(address.port, mib);
+  EXPECT_EQ(line_reply.rfind("error line exceeds", 0), 0u) << line_reply;
+  EXPECT_EQ(line_reply.find('\n'), line_reply.size() - 1) << line_reply;
+
+  // HTTP headers that never reach their blank line: 431, then closed.
+  const std::string http_reply =
+      send_and_collect(address.port, "GET /hello HTTP/1.1\r\nX-Pad: " + mib);
+  EXPECT_EQ(http_reply.rfind("HTTP/1.0 431 ", 0), 0u) << http_reply;
+
+  // The server is unharmed: a second connection is served as usual.
+  LineClient client;
+  ASSERT_TRUE(client.connect(address).ok());
+  ASSERT_TRUE(client.send_line("still here").ok());
+  auto reply = client.read_line();
+  ASSERT_TRUE(reply.ok()) << reply.error();
+  EXPECT_EQ(reply.value(), "echo still here");
+  auto hello = http_get(address, "/hello");
+  ASSERT_TRUE(hello.ok()) << hello.error();
+  EXPECT_EQ(hello.value().status, 200);
+
+  server.stop();
 }
 
 TEST(ServerTest, QuitClosesAfterReplyIsWritten) {

@@ -17,15 +17,15 @@
 //     trial placements advance wear in a way a replay of final placements
 //     does not repeat (wear feeds only the optional wear-leveling objective).
 //
-// The churn test runs at shards ∈ {1, 4}: with one shard the sharded commit
-// path degenerates to the old single-lock behaviour, with four it exercises
-// the per-region commit locks, ordered multi-lock cross-shard commits and
-// per-shard requeues — both must uphold the same two invariants.
+// The churn test runs at 1 and 4 service workers: with one worker every
+// commit follows its own staging, with four the workers' commits race for
+// the manager's one commit lock, conflict and requeue — both must uphold
+// the same two invariants.
 //
-// A second churn runs the same 4-shard service under the live telemetry
-// plane a `--serve --listen` daemon carries: the tracer armed, the SLO
-// sampler ticking, and a socket server whose /metrics, /healthz and /trace
-// a scraper thread reads while the admissions commit.
+// A second churn runs a 4-worker service under the live telemetry plane a
+// `--serve --listen` daemon carries: the tracer armed, the SLO sampler
+// ticking, and a socket server whose /metrics, /healthz and /trace a
+// scraper thread reads while the admissions commit.
 //
 // Run under -fsanitize=thread to also certify the locking discipline; the
 // ctest label is "property" so the TSan CI lane picks it up via -L property.
@@ -58,12 +58,9 @@ class ServiceChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ServiceChurnTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
   platform::Platform crisp = platform::make_crisp_platform();
-  core::KairosConfig kairos_config;
-  kairos_config.shards = GetParam();
-  core::ResourceManager manager(crisp, kairos_config);
-  ASSERT_EQ(manager.shard_count(), GetParam());
+  core::ResourceManager manager(crisp, {});
   ServiceConfig config;
-  config.threads = 4;
+  config.threads = GetParam();
   config.max_batch = 3;
   config.max_retries = 2;
   AdmissionService service(manager, config);
@@ -186,14 +183,12 @@ TEST_P(ServiceChurnTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
   }
 
   // --- quiesced availability index matches a linear recount ---------------
-  // (The debug-build audit is suppressed while sharded commits are in
-  // flight; this is the promised certification at the quiesce point.)
   EXPECT_TRUE(live_platform.availability_consistent());
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, ServiceChurnTest, ::testing::Values(1, 4),
+INSTANTIATE_TEST_SUITE_P(Workers, ServiceChurnTest, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "shards" + std::to_string(info.param);
+                           return "workers" + std::to_string(info.param);
                          });
 
 TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
@@ -221,11 +216,9 @@ TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
   EXPECT_EQ(manager.live_count(), 0u);
 }
 
-TEST(ServicePropertyTest, ShardedChurnUnderTheLiveTelemetryPlane) {
+TEST(ServicePropertyTest, ChurnUnderTheLiveTelemetryPlane) {
   platform::Platform crisp = platform::make_crisp_platform();
-  core::KairosConfig kairos_config;
-  kairos_config.shards = 4;
-  core::ResourceManager manager(crisp, kairos_config);
+  core::ResourceManager manager(crisp, {});
   AdmissionService service(manager, {/*threads=*/4, /*max_batch=*/3});
 
   obs::Registry& registry = obs::Registry::global();

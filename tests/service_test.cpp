@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/resource_manager.hpp"
@@ -140,9 +142,7 @@ TEST(AdmissionServiceTest, EverySettledRequestIsOneLatencySample) {
   const std::int64_t samples_before = latency.stats().count;
 
   platform::Platform crisp = platform::make_crisp_platform();
-  core::KairosConfig kairos_config;
-  kairos_config.shards = 4;
-  core::ResourceManager manager(crisp, kairos_config);
+  core::ResourceManager manager(crisp, {});
   AdmissionService service(manager, {/*threads=*/4, /*max_batch=*/3});
   // Enough submissions to fill CRISP, so some are rejected.
   const auto pool = small_pool(40, 0x1A7E);
@@ -180,36 +180,49 @@ TEST(StageCommitTest, StagedAdmissionCommitsOntoLivePlatform) {
 }
 
 TEST(StageCommitTest, CommitConflictLeavesPlatformUntouched) {
-  platform::Platform crisp = platform::make_crisp_platform();
-  core::ResourceManager manager(crisp, {});
-  const graph::Application app = small_pool(1, 0xFEED).front();
+  // Each input is a dataset; the first application that stages admitted is
+  // the one whose commit is invalidated.
+  struct Input {
+    int count;
+    std::uint64_t seed;
+  };
+  for (const Input input : {Input{1, 0xFEED}, Input{8, 0xC0DE}}) {
+    SCOPED_TRACE("seed " + std::to_string(input.seed));
+    platform::Platform crisp = platform::make_crisp_platform();
+    core::ResourceManager manager(crisp, {});
+    std::optional<core::StagedAdmission> staged;
+    for (const graph::Application& app : small_pool(input.count, input.seed)) {
+      platform::Platform scratch = manager.snapshot_platform();
+      staged = manager.stage(app, scratch);
+      if (staged->report.admitted) break;
+    }
+    ASSERT_TRUE(staged && staged->report.admitted);
+    ASSERT_FALSE(staged->task_allocations.empty());
 
-  platform::Platform scratch = manager.snapshot_platform();
-  core::StagedAdmission staged = manager.stage(app, scratch);
-  ASSERT_TRUE(staged.report.admitted);
-  ASSERT_FALSE(staged.task_allocations.empty());
+    // The platform moves under the snapshot: one of the staged elements
+    // dies. Validation must refuse the whole commit before applying any of
+    // it.
+    const platform::ElementId victim = staged->task_allocations.front().first;
+    manager.circumvent_fault(victim);
 
-  // The platform moves under the snapshot: one of the staged elements dies.
-  const platform::ElementId victim = staged.task_allocations.front().first;
-  manager.circumvent_fault(victim);
-
-  const platform::Snapshot before = manager.platform().snapshot();
-  auto committed = manager.commit_staged(std::move(staged));
-  ASSERT_FALSE(committed.ok());
-  EXPECT_NE(committed.error().find("conflict"), std::string::npos);
-  // Nothing partial leaked: allocation state is exactly as before the try.
-  const platform::Snapshot after = manager.platform().snapshot();
-  ASSERT_EQ(before.elements.size(), after.elements.size());
-  for (std::size_t i = 0; i < before.elements.size(); ++i) {
-    EXPECT_EQ(before.elements[i].used, after.elements[i].used);
-    EXPECT_EQ(before.elements[i].task_count, after.elements[i].task_count);
+    const platform::Snapshot before = manager.platform().snapshot();
+    auto committed = manager.commit_staged(std::move(*staged));
+    ASSERT_FALSE(committed.ok());
+    EXPECT_NE(committed.error().find("conflict"), std::string::npos);
+    // Nothing partial leaked: allocation state is exactly as before the try.
+    const platform::Snapshot after = manager.platform().snapshot();
+    ASSERT_EQ(before.elements.size(), after.elements.size());
+    for (std::size_t i = 0; i < before.elements.size(); ++i) {
+      EXPECT_EQ(before.elements[i].used, after.elements[i].used);
+      EXPECT_EQ(before.elements[i].task_count, after.elements[i].task_count);
+    }
+    ASSERT_EQ(before.links.size(), after.links.size());
+    for (std::size_t i = 0; i < before.links.size(); ++i) {
+      EXPECT_EQ(before.links[i].vc_used, after.links[i].vc_used);
+      EXPECT_EQ(before.links[i].bw_used, after.links[i].bw_used);
+    }
+    EXPECT_EQ(manager.live_count(), 0u);
   }
-  ASSERT_EQ(before.links.size(), after.links.size());
-  for (std::size_t i = 0; i < before.links.size(); ++i) {
-    EXPECT_EQ(before.links[i].vc_used, after.links[i].vc_used);
-    EXPECT_EQ(before.links[i].bw_used, after.links[i].bw_used);
-  }
-  EXPECT_EQ(manager.live_count(), 0u);
 }
 
 TEST(StageCommitTest, CommittingARejectedStagingIsAnError) {
