@@ -9,6 +9,9 @@ Phase 1 (TCP listener, generous SLOs):
     over BOTH transports — the stdin pipe and the socket — asserting that
     every queued request id is echoed on its settle line;
   * scrapes /metrics and validates the document with check_openmetrics;
+  * times 20 sequential single admissions over the socket and asserts the
+    median verdict arrives in under 15 ms — a daemon that noticed settled
+    verdicts only at its 20 ms poll timeout cannot;
   * asserts /healthz answers 200 "ok" and that /stats.json, /trace, /logs
     and /series carry the request-scoped records.
 
@@ -171,6 +174,25 @@ def drive_batch(send, read_line, command, expected):
     return queued
 
 
+def verdict_latencies_ms(client, count):
+    """Sends `count` sequential one-app admissions; returns each one's time
+    from sending the command to reading its verdict line."""
+    latencies = []
+    for seed in range(count):
+        start = time.monotonic()
+        client.send(f"gen 1 {seed + 101}")
+        line = client.read_line()
+        require(line.startswith("queued req="), f"expected queued: {line!r}")
+        line = client.read_line()
+        require(
+            re.match(r"(admitted|rejected) req=", line),
+            f"expected settle line, got {line!r}",
+        )
+        latencies.append(1000.0 * (time.monotonic() - start))
+        require(client.read_line() == "done", "missing 'done' terminator")
+    return latencies
+
+
 def phase_tcp(cli):
     print("[phase 1] TCP listener, generous SLOs")
     daemon = Daemon(cli, "127.0.0.1:0", slo="p99=100000,conflicts=1e9")
@@ -190,13 +212,21 @@ def phase_tcp(cli):
             not set(ids_pipe) & set(ids_socket),
             "request ids reused across transports",
         )
+        latencies = sorted(verdict_latencies_ms(client, 20))
+        median = (latencies[9] + latencies[10]) / 2
+        require(
+            median < 15.0,
+            f"median socket verdict {median:.1f} ms (>= 15 ms): settled "
+            f"admissions wait for the poll timeout",
+        )
         client.send("stats")
         stats_line = client.read_line()
         require(stats_line.startswith("stats live="), f"bad {stats_line!r}")
         client.send("quit")
         require(client.read_line() == "bye", "missing 'bye'")
         client.close()
-        print(f"  socket protocol ok (request ids {ids_socket})")
+        print(f"  socket protocol ok (request ids {ids_socket}, "
+              f"median verdict {median:.2f} ms)")
 
         # /metrics: a valid OpenMetrics document with the service counters.
         status, body = http_get(address, "/metrics")

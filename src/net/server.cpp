@@ -5,20 +5,58 @@
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 
 namespace kairos::net {
+
+/// The poll loop's wake-up: an eventfd the loop always watches. It is closed
+/// only when the last owner — the server or a Wake handed out — lets go, so
+/// a Wake never writes a closed (or reused) descriptor. Should eventfd()
+/// fail, fd_ stays -1: poll() ignores it, write() rejects it, and the loop
+/// falls back to its timeout.
+class WakeFd {
+ public:
+  WakeFd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+  ~WakeFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  int fd() const { return fd_; }
+  void notify() const {
+    const std::uint64_t one = 1;
+    // Only fails when the counter is saturated — the loop is awake then.
+    [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+  }
+  void drain() const {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
+  }
+
+ private:
+  const int fd_;
+};
 
 namespace {
 
 using util::Error;
 
+/// The idle fallback: how long a busy connection waits for its tick when
+/// nothing wakes the loop.
 constexpr int kPollTimeoutMs = 20;
+
+/// The wake of the server whose loop runs on this thread (see
+/// Server::current_wake()).
+thread_local std::shared_ptr<const WakeFd> t_loop_wake;
 
 void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
@@ -61,7 +99,15 @@ std::string render_response(const HttpResponse& response, bool head_only) {
 
 }  // namespace
 
+Server::Server(Handler& handler)
+    : handler_(handler), wake_(std::make_shared<const WakeFd>()) {}
+
 Server::~Server() { stop(); }
+
+Server::Wake Server::current_wake() {
+  if (!t_loop_wake) return {};
+  return [wake = t_loop_wake] { wake->notify(); };
+}
 
 util::VoidResult Server::listen(const Address& address) {
   if (running_.load(std::memory_order_relaxed)) {
@@ -127,6 +173,7 @@ void Server::start() {
 void Server::stop() {
   if (running_.load(std::memory_order_relaxed)) {
     stopping_.store(true);
+    wake_->notify();
     if (thread_.joinable()) thread_.join();
     running_.store(false);
   }
@@ -225,8 +272,13 @@ void Server::handle_input(Conn& conn) {
     if (!conn.http_dispatched_) dispatch_http(conn);
   } else {
     // Dispatch buffered complete lines in order; pause while the handler has
-    // a reply in flight (busy) so command order is preserved.
+    // a reply in flight (busy) so command order is preserved, and while the
+    // client leaves too many replies unread (see "Bounded output").
     while (!conn.busy_ && !conn.closing_) {
+      if (conn.outbuf_.size() > kMaxPendingOutput) {
+        conn.output_paused_ = true;
+        break;
+      }
       const auto newline = conn.inbuf_.find('\n', conn.in_pos_);
       if (newline == std::string::npos) break;
       const std::size_t start = conn.in_pos_;
@@ -255,33 +307,42 @@ void Server::handle_input(Conn& conn) {
   }
   // Over the cap with nothing left to dispatch: a line without its '\n',
   // or HTTP headers without their blank line.
-  if (!conn.busy_ && !conn.closing_ &&
+  if (!conn.busy_ && !conn.closing_ && !conn.output_paused_ &&
       conn.pending_input() > kMaxPendingInput) {
     reject_oversized(conn);
   }
 }
 
 void Server::loop() {
+  t_loop_wake = wake_;
   std::vector<pollfd> pfds;
   while (!stopping_.load(std::memory_order_relaxed)) {
     pfds.clear();
+    pfds.push_back({wake_->fd(), POLLIN, 0});
     for (const int fd : listen_fds_) pfds.push_back({fd, POLLIN, 0});
     for (const auto& conn : conns_) {
-      // A busy connection at the input cap is not read until it drains.
-      short events = conn->pending_input() > kMaxPendingInput ? 0 : POLLIN;
+      // Not read while its input is at the cap (a busy connection catching
+      // up) or its unread replies are (a client not reading).
+      const bool full = conn->pending_input() > kMaxPendingInput ||
+                        conn->outbuf_.size() > kMaxPendingOutput;
+      short events = full ? 0 : POLLIN;
       if (!conn->outbuf_.empty()) events |= POLLOUT;
       pfds.push_back({conn->fd_, events, 0});
     }
 
     ::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
+    if (pfds[0].revents & POLLIN) wake_->drain();
 
     // Accept new connections.
     for (std::size_t i = 0; i < listen_fds_.size(); ++i) {
-      if (!(pfds[i].revents & POLLIN)) continue;
+      if (!(pfds[1 + i].revents & POLLIN)) continue;
       for (;;) {
         const int fd = ::accept(listen_fds_[i], nullptr, nullptr);
         if (fd < 0) break;
         set_nonblocking(fd);
+        // Fails harmlessly on Unix-domain sockets, which have no Nagle.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         auto conn = std::make_unique<Conn>();
         conn->fd_ = fd;
         conn->id_ = next_conn_id_++;
@@ -290,13 +351,13 @@ void Server::loop() {
     }
 
     // Read, dispatch, write, tick — per connection.
-    const std::size_t listeners = listen_fds_.size();
+    const std::size_t first_conn = 1 + listen_fds_.size();
     for (std::size_t i = 0; i < conns_.size(); ++i) {
       Conn& conn = *conns_[i];
       bool dead = false;
       // New connections accepted this iteration have no pollfd yet.
-      const bool polled = listeners + i < pfds.size();
-      if (polled && (pfds[listeners + i].revents & (POLLIN | POLLHUP))) {
+      const bool polled = first_conn + i < pfds.size();
+      if (polled && (pfds[first_conn + i].revents & (POLLIN | POLLHUP))) {
         read_input(conn, dead);
         handle_input(conn);
       }
@@ -312,6 +373,10 @@ void Server::loop() {
         } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
           dead = true;
         }
+      }
+      if (conn.output_paused_ && conn.outbuf_.size() <= kMaxPendingOutput) {
+        conn.output_paused_ = false;
+        handle_input(conn);  // the client read its replies: resume
       }
       // Close once the reason to stay is gone: nothing left to write and no
       // reply in flight. A dead peer therefore still receives queued output
@@ -329,6 +394,7 @@ void Server::loop() {
                                 }),
                  conns_.end());
   }
+  t_loop_wake.reset();
 }
 
 }  // namespace kairos::net

@@ -20,9 +20,14 @@
 // handler whose reply depends on asynchronous work (admission futures)
 // marks the connection *busy* instead: the server stops dispatching further
 // lines from that connection (input stays buffered, preserving command
-// order) and calls Handler::on_tick() for it every poll iteration (~20 ms)
-// until the handler clears the flag. This is how `--serve --listen` keeps
-// answering /metrics while a batch of admissions is in flight.
+// order) and calls Handler::on_tick() for it on every poll iteration until
+// the handler clears the flag. To get that tick as soon as the work is
+// done, the handler takes Server::current_wake() inside on_line() and hands
+// it to the work, which calls it once its result is ready: the wake makes
+// the poll loop run an iteration at once. Without a wake a busy connection
+// is still ticked on the next socket event or poll timeout (20 ms), the
+// idle fallback. This is how `--serve --listen` sends each verdict as soon
+// as it settles while it keeps answering /metrics.
 //
 // Bounded input: a connection holds at most Server::kMaxPendingInput bytes
 // of undispatched input. A line that outgrows it without its '\n' (or HTTP
@@ -32,12 +37,22 @@
 // Consumed input is skipped by offset and compacted in bulk, so dispatching
 // n buffered lines costs O(total bytes), not O(n * buffer).
 //
+// Bounded output: while a connection's unsent replies exceed
+// Server::kMaxPendingOutput bytes — a client that sends commands without
+// reading the answers — no further lines are dispatched and the connection
+// is not read; both resume once the client drains the replies.
+//
+// TCP connections are accepted with TCP_NODELAY: a command's replies are
+// written as they become ready (e.g. "queued", then the verdict), and Nagle
+// would hold the later ones until the client acknowledged the first.
+//
 // Shutdown: stop() (or destruction) joins the poll thread and closes every
 // socket; Unix-domain socket paths are unlinked.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -49,6 +64,7 @@
 namespace kairos::net {
 
 class Server;
+class WakeFd;
 
 /// One accepted connection, as seen by the Handler. Only valid inside
 /// handler callbacks (the poll thread owns it).
@@ -60,6 +76,8 @@ class Conn {
     outbuf_ += line;
     outbuf_ += '\n';
   }
+  /// Bytes queued but not yet written to the peer.
+  std::size_t pending_output() const { return outbuf_.size(); }
   /// Close once the queued output has drained.
   void close_after_write() { closing_ = true; }
 
@@ -86,6 +104,7 @@ class Conn {
   bool http_ = false;          ///< first line looked like an HTTP request
   bool http_dispatched_ = false;
   bool saw_line_ = false;      ///< a protocol line was already dispatched
+  bool output_paused_ = false; ///< dispatch stopped at kMaxPendingOutput
 
   std::size_t pending_input() const { return inbuf_.size() - in_pos_; }
 };
@@ -96,7 +115,8 @@ class Server {
     virtual ~Handler() = default;
     virtual HttpResponse on_http(const HttpRequest& request) = 0;
     virtual void on_line(Conn& conn, const std::string& line) = 0;
-    /// Called for every *busy* connection each poll iteration.
+    /// Called for every *busy* connection each poll iteration, including
+    /// the one a Wake triggers.
     virtual void on_tick(Conn& conn) { (void)conn; }
     /// Connection is going away (peer closed or server stopping).
     virtual void on_close(Conn& conn) { (void)conn; }
@@ -104,8 +124,21 @@ class Server {
 
   /// Undispatched input a connection may hold; see "Bounded input".
   static constexpr std::size_t kMaxPendingInput = 64 * 1024;
+  /// Unsent output past which a connection's input waits; see "Bounded
+  /// output".
+  static constexpr std::size_t kMaxPendingOutput = 64 * 1024;
 
-  explicit Server(Handler& handler) : handler_(handler) {}
+  /// Makes a server's poll loop run an iteration at once (ticking every
+  /// busy connection). Callable from any thread, any number of times, also
+  /// after the server has stopped or been destroyed: it holds the loop's
+  /// wake descriptor open itself.
+  using Wake = std::function<void()>;
+
+  /// The wake of the server whose poll thread is calling — i.e. from inside
+  /// a handler callback; empty on every other thread.
+  static Wake current_wake();
+
+  explicit Server(Handler& handler);
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
   ~Server();
@@ -135,6 +168,8 @@ class Server {
   void reject_oversized(Conn& conn);
 
   Handler& handler_;
+  /// Always polled; shared with every Wake handed out, so it outlives them.
+  std::shared_ptr<const WakeFd> wake_;
   std::vector<int> listen_fds_;
   std::vector<std::string> unix_paths_;  ///< unlinked on stop()
   int bound_port_ = 0;

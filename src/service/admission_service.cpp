@@ -45,27 +45,34 @@ AdmissionService::AdmissionService(core::ResourceManager& manager,
 AdmissionService::~AdmissionService() { stop(); }
 
 std::future<core::AdmissionReport> AdmissionService::submit(
-    graph::Application app, std::uint64_t* request_id_out) {
+    graph::Application app, std::uint64_t* request_id_out,
+    std::function<void()> on_settle) {
   Request request;
   request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (request_id_out != nullptr) *request_id_out = request.id;
   obs::EventLog::global().log(obs::LogLevel::kDebug, "service", "submitted",
                               {{"app", app.name()}}, request.id);
   request.app = std::move(app);
+  request.on_settle = std::move(on_settle);
   request.enqueued = std::chrono::steady_clock::now();
   std::future<core::AdmissionReport> future = request.promise.get_future();
+  bool stopped = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      core::AdmissionReport report = stopped_report();
-      report.request_id = request.id;
-      request.promise.set_value(std::move(report));
-      return future;
+    stopped = stopping_;
+    if (!stopped) {
+      queue_.push_back(std::move(request));
+      ++unsettled_;
+      queue_depth_.set(
+          static_cast<double>(queue_.size() + retry_queue_.size()));
     }
-    queue_.push_back(std::move(request));
-    ++unsettled_;
-    queue_depth_.set(
-        static_cast<double>(queue_.size() + retry_queue_.size()));
+  }
+  if (stopped) {
+    core::AdmissionReport report = stopped_report();
+    report.request_id = request.id;
+    request.promise.set_value(std::move(report));
+    if (request.on_settle) request.on_settle();
+    return future;
   }
   work_cv_.notify_one();
   return future;
@@ -126,6 +133,7 @@ void AdmissionService::settle(Request&& request,
                                 request.id);
   }
   request.promise.set_value(std::move(report));
+  if (request.on_settle) request.on_settle();
   bool idle = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -59,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -113,8 +114,15 @@ class AdmissionService {
   /// `request_id_out`, when non-null, receives the id minted for this
   /// request immediately (callers echo it before the future settles — the
   /// serve protocol acknowledges "queued req=<id>" at submit time).
+  ///
+  /// `on_settle`, when set, is called exactly once, right after the future
+  /// became ready — on a worker thread, or inside submit() after stop(). It
+  /// must not block or throw; the socket transport passes its poll loop's
+  /// wake (net::Server::current_wake()) so the verdict is sent at once.
+  /// drain() returns only after every callback has returned.
   std::future<core::AdmissionReport> submit(
-      graph::Application app, std::uint64_t* request_id_out = nullptr);
+      graph::Application app, std::uint64_t* request_id_out = nullptr,
+      std::function<void()> on_settle = {});
 
   /// Synchronous removal, forwarded to the manager (removal holds the write
   /// lock only briefly — there is nothing to overlap).
@@ -141,6 +149,7 @@ class AdmissionService {
   struct Request {
     graph::Application app;
     std::promise<core::AdmissionReport> promise;
+    std::function<void()> on_settle;  ///< called after the promise is set
     std::uint64_t id = 0;  ///< minted by submit(), echoed in the report
     int attempt = 0;
     std::chrono::steady_clock::time_point enqueued;
@@ -148,8 +157,8 @@ class AdmissionService {
 
   void worker_loop();
   /// Settles one request: stamps the request id into the report, fulfils
-  /// the promise, records latency + outcome metrics, decrements the pending
-  /// count.
+  /// the promise, runs its settle callback, records latency + outcome
+  /// metrics, decrements the pending count.
   void settle(Request&& request, core::AdmissionReport report);
   void requeue(Request&& request);
   void log_commit(CommitRecord record);

@@ -8,6 +8,7 @@
 
 #include "gen/datasets.hpp"
 #include "graph/app_io.hpp"
+#include "net/server.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "platform/fragmentation.hpp"
@@ -98,11 +99,14 @@ std::string CommandSession::settle_line(PendingReply& reply) const {
 
 void CommandSession::submit_all(std::vector<graph::Application> apps,
                                 std::vector<std::string>& out) {
+  // On a socket transport this runs on the server's poll thread: each
+  // settled request wakes it, so poll() runs as soon as a reply exists.
+  const net::Server::Wake wake = net::Server::current_wake();
   for (graph::Application& app : apps) {
     PendingReply reply;
     reply.name = app.name();
     std::uint64_t request_id = 0;
-    reply.future = service_.submit(std::move(app), &request_id);
+    reply.future = service_.submit(std::move(app), &request_id, wake);
     reply.request_id = request_id;
     out.push_back(format("queued req=%llu app=%s",
                          static_cast<unsigned long long>(request_id),

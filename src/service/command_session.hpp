@@ -23,11 +23,15 @@
 // Threading/blocking contract: handle_line() never blocks on admission
 // work. Submissions park their futures as a pending batch and the call
 // returns kPending; the transport then pumps poll() — non-blocking, emits
-// whatever settled, preserving submission order — until the batch drains
-// (socket transports do this from the server's busy tick), or calls
-// finish() to block until it does (the stdin loop). While a batch is
-// pending the session rejects no input — transports simply defer further
-// lines (net::Conn keeps them buffered in order).
+// whatever settled, preserving submission order — until the batch drains,
+// or calls finish() to block until it does (the stdin loop). A socket
+// transport pumps poll() from the server's busy tick: when handle_line()
+// runs on a net::Server poll thread, every submission carries that
+// server's wake (net::Server::current_wake()), so the tick runs as soon as
+// a request settles and its reply goes out without waiting for the poll
+// timeout. While a batch is pending the session rejects no input —
+// transports simply defer further lines (net::Conn keeps them buffered in
+// order).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Tests for the net layer: address parsing, the poll-driven server's dual
 // framing (HTTP-lite and line protocol on one listener), the busy/on_tick
-// slow-work contract, bounded per-connection input, and Unix-domain
-// listeners.
+// slow-work contract and its wake, bounded per-connection input and output,
+// and Unix-domain listeners.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -9,8 +9,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "net/net.hpp"
 #include "net/server.hpp"
@@ -299,6 +305,166 @@ TEST(ServerTest, QuitClosesAfterReplyIsWritten) {
   // Peer closes after the reply: the next read reports closed, not a hang.
   EXPECT_FALSE(client.read_line(2000).ok());
 
+  server.stop();
+}
+
+/// Answers each line from another thread, the way the daemon answers an
+/// admission: on_line marks the connection busy and hands the poll loop's
+/// wake to a worker, which finishes the reply after 1 ms and wakes the
+/// loop; on_tick sends the reply once it exists.
+class AsyncReplyHandler : public Server::Handler {
+ public:
+  ~AsyncReplyHandler() override { join(); }
+
+  HttpResponse on_http(const HttpRequest&) override { return {}; }
+
+  void on_line(Conn& conn, const std::string& line) override {
+    join();  // the previous reply was sent: its worker is finishing
+    conn.set_busy(true);
+    last_wake_ = Server::current_wake();
+    worker_ = std::thread([this, wake = last_wake_, line] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        reply_ = "done " + line;
+      }
+      wake();
+    });
+  }
+
+  void on_tick(Conn& conn) override {
+    std::optional<std::string> reply;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      reply.swap(reply_);
+    }
+    if (!reply) return;
+    conn.send_line(*reply);
+    conn.set_busy(false);
+  }
+
+  void join() {
+    if (worker_.joinable()) worker_.join();
+  }
+  /// The wake the last on_line() captured; read after the server stopped.
+  const Server::Wake& last_wake() const { return last_wake_; }
+
+ private:
+  std::mutex mutex_;
+  std::optional<std::string> reply_;  ///< guarded by mutex_
+  Server::Wake last_wake_;
+  std::thread worker_;
+};
+
+TEST(ServerTest, SettledReplyWakesThePollLoop) {
+  // Only a poll thread has a wake to hand out.
+  EXPECT_FALSE(Server::current_wake());
+
+  AsyncReplyHandler handler;
+  Server server(handler);
+  ASSERT_TRUE(server.listen(parse_address("127.0.0.1:0").value()).ok());
+  server.start();
+  Address address;
+  address.port = server.bound_port();
+  LineClient client;
+  ASSERT_TRUE(client.connect(address).ok());
+
+  // Nothing else happens on the socket while a reply is in flight, so
+  // without the wake every round trip waits out the 20 ms poll timeout:
+  // 50 of them would take at least 1 s.
+  constexpr int kRoundTrips = 50;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRoundTrips; ++i) {
+    const std::string line = "work " + std::to_string(i);
+    ASSERT_TRUE(client.send_line(line).ok());
+    auto reply = client.read_line();
+    ASSERT_TRUE(reply.ok()) << reply.error();
+    EXPECT_EQ(reply.value(), "done " + line);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kRoundTrips * 20 / 2));
+
+  server.stop();
+  handler.join();
+  // A wake that outlives its server stays safe to call.
+  ASSERT_TRUE(handler.last_wake());
+  handler.last_wake()();
+}
+
+/// Answers every line with one 1 KiB line and records the most unsent
+/// output a connection held when a line was dispatched.
+class BulkReplyHandler : public Server::Handler {
+ public:
+  static constexpr std::size_t kReplyBytes = 1024;
+
+  HttpResponse on_http(const HttpRequest&) override { return {}; }
+
+  void on_line(Conn& conn, const std::string&) override {
+    // Only the poll thread writes; the test thread reads.
+    max_pending_output.store(
+        std::max(max_pending_output.load(), conn.pending_output()));
+    conn.send_line(std::string(kReplyBytes - 1, 'r'));
+    lines.fetch_add(1);
+  }
+
+  std::atomic<std::size_t> max_pending_output{0};
+  std::atomic<int> lines{0};
+};
+
+TEST(ServerTest, UnreadRepliesPauseInputUntilTheClientDrains) {
+  BulkReplyHandler handler;
+  Server server(handler);
+  ASSERT_TRUE(server.listen(parse_address("127.0.0.1:0").value()).ok());
+  server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sin{};
+  sin.sin_family = AF_INET;
+  sin.sin_port = htons(static_cast<std::uint16_t>(server.bound_port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &sin.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)),
+            0);
+
+  // Thousands of pipelined commands: every read burst holds far more
+  // lines than kMaxPendingOutput of replies, and 20 MiB of replies is far
+  // more than the socket buffers absorb while the client does not read.
+  constexpr int kLines = 20000;
+  std::string payload;
+  for (int i = 0; i < kLines; ++i) payload += "stats\n";
+  std::thread sender([fd, &payload] {
+    for (std::size_t sent = 0; sent < payload.size();) {
+      const ssize_t n = ::send(fd, payload.data() + sent,
+                               payload.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+
+  // The client reads nothing yet: the daemon's unsent output stays bounded.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(handler.lines.load(), kLines);
+  EXPECT_LE(handler.max_pending_output.load(), Server::kMaxPendingOutput);
+
+  // Draining the replies resumes the connection until every line is
+  // answered.
+  const std::size_t expected =
+      std::size_t{kLines} * BulkReplyHandler::kReplyBytes;
+  std::size_t received = 0;
+  while (received < expected) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) break;
+    char chunk[65536];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    received += static_cast<std::size_t>(n);
+  }
+  sender.join();
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(handler.lines.load(), kLines);
+  EXPECT_LE(handler.max_pending_output.load(), Server::kMaxPendingOutput);
+
+  ::close(fd);
   server.stop();
 }
 

@@ -5,14 +5,18 @@
 // request-id echo, and the telemetry served on the same socket.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/resource_manager.hpp"
+#include "gen/datasets.hpp"
+#include "graph/app_io.hpp"
 #include "net/net.hpp"
 #include "net/server.hpp"
 #include "obs/event_log.hpp"
@@ -320,6 +324,42 @@ TEST(ServeProtocolTest, TwoConnectionsGetIndependentSessions) {
     ASSERT_TRUE(line.ok()) << line.error();
     if (line.value() == "done") break;
   }
+}
+
+TEST(ServeProtocolTest, VerdictIsSentAsSoonAsTheAdmissionSettles) {
+  ServedFixture fixture;
+  const std::string path = testing::TempDir() + "kairos_serve_wake.ktg";
+  {
+    std::ofstream file(path);
+    file << graph::write_application(
+        gen::make_dataset(gen::DatasetKind::kCommunicationSmall, 1, 19)
+            .front());
+  }
+  net::LineClient client;
+  ASSERT_TRUE(client.connect(fixture.address).ok());
+
+  // Nothing else arrives on the socket while an admission is in flight, so
+  // a daemon that noticed the verdict only at its 20 ms poll timeout would
+  // need at least 400 ms for 20 sequential admits.
+  constexpr int kAdmits = 20;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kAdmits; ++i) {
+    ASSERT_TRUE(client.send_line("admit " + path).ok());
+    auto queued = client.read_line();
+    ASSERT_TRUE(queued.ok()) << queued.error();
+    EXPECT_TRUE(starts_with(queued.value(), "queued req=")) << queued.value();
+    auto verdict = client.read_line();
+    ASSERT_TRUE(verdict.ok()) << verdict.error();
+    EXPECT_TRUE(starts_with(verdict.value(), "admitted req=") ||
+                starts_with(verdict.value(), "rejected req="))
+        << verdict.value();
+    auto done = client.read_line();
+    ASSERT_TRUE(done.ok()) << done.error();
+    EXPECT_EQ(done.value(), "done");
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kAdmits * 20 / 2));
+  std::remove(path.c_str());
 }
 
 }  // namespace

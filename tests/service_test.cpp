@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -98,10 +101,65 @@ TEST(AdmissionServiceTest, SubmitAfterStopSettlesWithRejection) {
   AdmissionService service(manager, {/*threads=*/2});
   service.stop();
 
-  auto future = service.submit(small_pool(1, 0xDEAD).front());
+  // The request settles inside submit(), its settle callback included.
+  int settle_calls = 0;
+  auto future = service.submit(small_pool(1, 0xDEAD).front(), nullptr,
+                               [&settle_calls] { ++settle_calls; });
+  EXPECT_EQ(settle_calls, 1);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
   const core::AdmissionReport report = future.get();
   EXPECT_FALSE(report.admitted);
   EXPECT_EQ(report.reason, "service stopped");
+}
+
+/// Counts one request's settle callbacks and checks, from inside each, that
+/// the request's future is already ready. The callback first takes `mutex`,
+/// which the test holds until it has published the future, so a fast
+/// worker cannot run it before there is a future to check.
+struct SettleProbe {
+  std::mutex mutex;
+  const std::future<core::AdmissionReport>* future = nullptr;
+  int calls = 0;
+  bool ready_in_callback = false;
+
+  std::function<void()> callback() {
+    return [this] {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++calls;
+      ready_in_callback =
+          future != nullptr && future->wait_for(std::chrono::seconds(0)) ==
+                                   std::future_status::ready;
+    };
+  }
+};
+
+TEST(AdmissionServiceTest, SettleCallbackRunsOnceAfterTheFutureIsReady) {
+  platform::Platform crisp = platform::make_crisp_platform();
+  core::ResourceManager manager(crisp, {});
+  AdmissionService service(manager, {/*threads=*/2});
+
+  // The same application until CRISP is full: admitted, then rejected.
+  const graph::Application app = small_pool(1, 0x5E7).front();
+  bool saw_admitted = false;
+  bool saw_rejected = false;
+  for (int i = 0; i < 200 && !saw_rejected; ++i) {
+    SettleProbe probe;
+    std::future<core::AdmissionReport> future;
+    {
+      const std::lock_guard<std::mutex> lock(probe.mutex);
+      future = service.submit(app, nullptr, probe.callback());
+      probe.future = &future;
+    }
+    service.drain();  // returns only after the callback has returned
+    EXPECT_EQ(probe.calls, 1);
+    EXPECT_TRUE(probe.ready_in_callback);
+    const core::AdmissionReport report = future.get();
+    saw_admitted = saw_admitted || report.admitted;
+    saw_rejected = !report.admitted;
+  }
+  EXPECT_TRUE(saw_admitted);
+  EXPECT_TRUE(saw_rejected);
 }
 
 TEST(AdmissionServiceTest, CommitLogMatchesLiveBookkeeping) {
